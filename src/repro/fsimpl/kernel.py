@@ -22,7 +22,7 @@ allowed set):
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional, Union
+from typing import Dict, FrozenSet, Optional, Tuple, Union
 
 from repro.core import commands as C
 from repro.core.errors import Errno
@@ -38,6 +38,14 @@ from repro.osapi.transition import exec_call
 from repro.pathres.resname import Follow, RnFile
 from repro.pathres.resolve import PermEnv, resolve
 from repro.state.heap import DirRef, FileRef
+
+
+#: ``(state, leaked_bytes, dead pids)`` — see :meth:`KernelFS.snapshot`.
+KernelSnapshot = Tuple[OsState, int, FrozenSet[int]]
+
+#: Shared by every snapshot taken while no process is dead, so the
+#: executor's trie nodes do not each hold an empty frozenset.
+_NOBODY_DEAD: FrozenSet[int] = frozenset()
 
 
 class SignalKill(Exception):
@@ -85,6 +93,22 @@ class KernelFS:
 
     def process_alive(self, pid: int) -> bool:
         return pid in self.state.procs and pid not in self._dead
+
+    # -- snapshots ------------------------------------------------------------
+    def snapshot(self) -> KernelSnapshot:
+        """Everything a later call can observe, as three immutable
+        references: the model state, the leaked byte count and the set
+        of killed or spinning processes.  ``quirks`` and ``spec`` are
+        not included — a snapshot is only valid for a kernel of the
+        same configuration."""
+        dead = frozenset(self._dead) if self._dead else _NOBODY_DEAD
+        return (self.state, self.leaked_bytes, dead)
+
+    def restore(self, snapshot: KernelSnapshot) -> None:
+        """Resume from ``snapshot``; the dead set is copied, so this
+        kernel's later kills never reach the snapshot."""
+        self.state, self.leaked_bytes, dead = snapshot
+        self._dead = set(dead)
 
     # -- the call interface -----------------------------------------------------
     def call(self, pid: int, cmd: C.OsCommand) -> ReturnValue:

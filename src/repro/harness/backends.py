@@ -328,6 +328,9 @@ class ProcessPoolBackend(_BackendBase):
         self.processes = processes or multiprocessing.cpu_count()
         self.chunksize = chunksize
         self._pool: Optional[multiprocessing.pool.Pool] = None
+        #: Set by :meth:`close`: every feeder of the current pool stops
+        #: handing it tasks.
+        self._closing = threading.Event()
 
     @property
     def name(self) -> str:
@@ -335,8 +338,18 @@ class ProcessPoolBackend(_BackendBase):
 
     def _ensure_pool(self) -> multiprocessing.pool.Pool:
         if self._pool is None:
+            self._closing = threading.Event()
             self._pool = multiprocessing.Pool(self.processes)
         return self._pool
+
+    def _feed(self, payload: Iterable[tuple]) -> Iterator[tuple]:
+        """``payload``, cut short once :meth:`close` begins (runs on the
+        pool's task-feeder thread)."""
+        closing = self._closing
+        for task in payload:
+            if closing.is_set():
+                return
+            yield task
 
     def pick_chunksize(self, n_items: int) -> int:
         """The chunksize used for ``n_items``: the configured value, or
@@ -351,8 +364,8 @@ class ProcessPoolBackend(_BackendBase):
         if not scripts:
             return
         pool = self._ensure_pool()
-        payload = ((i, quirks, script)
-                   for i, script in enumerate(scripts))
+        payload = self._feed((i, quirks, script)
+                             for i, script in enumerate(scripts))
         for index, trace_text in pool.imap(
                 _execute_worker, payload,
                 chunksize=self.pick_chunksize(len(scripts))):
@@ -368,14 +381,15 @@ class ProcessPoolBackend(_BackendBase):
         of consumption, so abandoning the iterator early does not
         cancel work already queued — remaining traces finish in the
         background (the pool stays usable; later calls queue after
-        them).  ``close()`` terminates outstanding work.
+        them).  ``close()`` stops feeding and drains what is queued.
         """
         traces = list(traces)
         if not traces:
             return
         pool = self._ensure_pool()
-        payload = ((i, model, print_trace(trace), collect_coverage)
-                   for i, trace in enumerate(traces))
+        payload = self._feed((i, model, print_trace(trace),
+                              collect_coverage)
+                             for i, trace in enumerate(traces))
         for index, profiles, covered in pool.imap(
                 _check_worker, payload,
                 chunksize=self.pick_chunksize(len(traces))):
@@ -408,6 +422,7 @@ class ProcessPoolBackend(_BackendBase):
         window = max(chunk * self.processes * 4, chunk)
         in_flight = threading.Semaphore(window)
         stop = threading.Event()
+        closing = self._closing
 
         def payload() -> Iterator[tuple]:
             # Runs on the pool's task-feeder thread: block (with a
@@ -415,8 +430,10 @@ class ProcessPoolBackend(_BackendBase):
             # the feeder) until the consumer drains a result.
             for index, script in enumerate(scripts):
                 while not in_flight.acquire(timeout=0.1):
-                    if stop.is_set():
+                    if stop.is_set() or closing.is_set():
                         return
+                if closing.is_set():
+                    return
                 yield (index, quirks, script, model, collect_coverage)
 
         try:
@@ -434,16 +451,45 @@ class ProcessPoolBackend(_BackendBase):
             stop.set()
 
     def close(self) -> None:
-        if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
-            self._pool = None
+        """Shut the pool down, also with results still in flight.
+
+        ``Pool.terminate()`` alone can hang for good here: it stops the
+        pool's result-handler thread, a worker blocked writing a large
+        result into the full result pipe keeps the pipe's write lock,
+        and terminate then waits forever to write its own sentinel.  So
+        close stops every feeder first, lets the workers finish the
+        few tasks already queued while the result handler keeps
+        reading (abandoned results are dropped), and joins.
+        ``terminate()`` is the last resort, only if that takes longer
+        than :data:`_CLOSE_TIMEOUT`, and is bounded the same way.
+        """
+        pool, self._pool = self._pool, None
+        if pool is None:
+            return
+        self._closing.set()
+        pool.close()
+        if not _finishes(pool.join, _CLOSE_TIMEOUT):
+            _finishes(pool.terminate, _CLOSE_TIMEOUT)
 
     def __del__(self) -> None:  # pragma: no cover - GC timing
         try:
             self.close()
         except Exception:
             pass
+
+
+#: Seconds :meth:`ProcessPoolBackend.close` waits for the pool to drain
+#: and join before falling back to ``Pool.terminate()`` (which gets as
+#: long again).
+_CLOSE_TIMEOUT = 10.0
+
+
+def _finishes(fn: Callable[[], None], timeout: float) -> bool:
+    """Run ``fn`` on a daemon thread; whether it returned in time."""
+    thread = threading.Thread(target=fn, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    return not thread.is_alive()
 
 
 # -- sharded backend ----------------------------------------------------------

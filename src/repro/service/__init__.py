@@ -32,6 +32,8 @@ _EXPORTS = {
     "ServiceServer": "repro.service.server",
     "run_server": "repro.service.server",
     "ServiceClient": "repro.service.client",
+    "RequestTooLarge": "repro.service.client",
+    "MAX_REQUEST_BYTES": "repro.service.client",
     "parse_address": "repro.service.client",
 }
 

@@ -18,6 +18,15 @@ from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 Address = Union[str, Tuple[str, int]]
 
+#: The longest request line the server reads (bytes, newline included).
+#: Longer lines get a ``request_too_large`` error reply;
+#: :meth:`ServiceClient.check_batch` splits batches to stay under it.
+MAX_REQUEST_BYTES = 1 << 20
+
+
+class RequestTooLarge(RuntimeError):
+    """The server refused a request line longer than its limit."""
+
 
 def parse_address(address: Address) -> Tuple[str, int]:
     """``"host:port"`` (or a ready pair) -> ``(host, port)``."""
@@ -51,7 +60,10 @@ class ServiceClient:
             raise ConnectionError("server closed the connection")
         reply = json.loads(line)
         if reply.get("op") == "error":
-            raise RuntimeError(f"server error: {reply.get('error')}")
+            error = RequestTooLarge \
+                if reply.get("code") == "request_too_large" \
+                else RuntimeError
+            raise error(f"server error: {reply.get('error')}")
         return reply
 
     def request(self, payload: dict) -> dict:
@@ -70,26 +82,49 @@ class ServiceClient:
                     request_id=None) -> Tuple[List[dict], dict]:
         """Check many traces; returns (verdicts in input order, the
         ``batch_done`` message carrying ``engine_stats``)."""
-        self._send({"op": "batch", "id": request_id,
-                    "traces": list(trace_texts)})
-        verdicts: List[dict] = []
-        while True:
-            reply = self._read()
-            if reply.get("op") == "batch_done":
-                return verdicts, reply
-            verdicts.append(reply)
+        replies = list(self.iter_batch(trace_texts, request_id=request_id))
+        return replies[:-1], replies[-1]
 
     def iter_batch(self, trace_texts: Sequence[str], *,
                    request_id=None) -> Iterator[dict]:
         """Streaming form of :meth:`check_batch`: yields each
-        ``verdict`` as it arrives, then the ``batch_done`` message."""
-        self._send({"op": "batch", "id": request_id,
-                    "traces": list(trace_texts)})
-        while True:
-            reply = self._read()
-            yield reply
-            if reply.get("op") == "batch_done":
-                return
+        ``verdict`` as it arrives, then the ``batch_done`` message.
+
+        A batch longer than :data:`MAX_REQUEST_BYTES` goes out as
+        several ``batch`` requests, one after another; the replies still
+        read as one batch, with one final ``batch_done`` whose ``count``
+        covers every trace.
+        """
+        count = 0
+        for chunk in self._chunks(trace_texts, request_id):
+            self._send({"op": "batch", "id": request_id,
+                        "traces": chunk})
+            while True:
+                reply = self._read()
+                if reply.get("op") == "batch_done":
+                    count += reply["count"]
+                    break
+                yield reply
+        yield dict(reply, count=count)
+
+    def _chunks(self, trace_texts: Sequence[str],
+                request_id) -> Iterator[List[str]]:
+        """Consecutive runs of ``trace_texts`` whose ``batch`` request
+        line fits :data:`MAX_REQUEST_BYTES` (a single trace too large
+        for it goes alone, and the server refuses it)."""
+        envelope = len(json.dumps({"op": "batch", "id": request_id,
+                                   "traces": []}).encode()) + 1
+        chunk: List[str] = []
+        size = envelope
+        for text in trace_texts:
+            # Each list element costs its JSON form plus ", ".
+            cost = len(json.dumps(text).encode()) + 2
+            if chunk and size + cost > MAX_REQUEST_BYTES:
+                yield chunk
+                chunk, size = [], envelope
+            chunk.append(text)
+            size += cost
+        yield chunk
 
     def status(self, *, request_id=None) -> dict:
         """Fetch the server's cumulative ``engine_stats``."""

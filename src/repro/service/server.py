@@ -27,7 +27,11 @@ A ``verdict`` response is ``{"op": "verdict", "id": ..., "name": ...,
 rebuild the exact per-platform profile objects, which is how the
 parity harness checks the served path bit-for-bit against
 :class:`~repro.harness.backends.SerialBackend`.  Malformed input gets
-``{"op": "error", ...}`` on that line and the connection stays up.
+``{"op": "error", ...}`` on that line and the connection stays up.  A
+request line longer than
+:data:`~repro.service.client.MAX_REQUEST_BYTES` is read to its end and
+dropped, and answered with ``{"op": "error", "code":
+"request_too_large", "limit": ...}``; the connection stays up too.
 
 Checking is delegated to a :class:`~repro.service.service
 .CheckingService`: ``submit`` runs on the default executor (it may
@@ -41,6 +45,7 @@ import asyncio
 import json
 from typing import Optional
 
+from repro.service.client import MAX_REQUEST_BYTES
 from repro.service.service import CheckingService
 
 
@@ -60,7 +65,8 @@ class ServiceServer:
         bound port is readable from :attr:`port` afterwards)."""
         self._stopped = asyncio.Event()
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port)
+            self._handle_connection, self.host, self.port,
+            limit=MAX_REQUEST_BYTES)
         self.port = self._server.sockets[0].getsockname()[1]
 
     async def wait_closed(self) -> None:
@@ -79,7 +85,16 @@ class ServiceServer:
                                  writer: asyncio.StreamWriter) -> None:
         try:
             while True:
-                line = await reader.readline()
+                line = await _read_request(reader)
+                if line is None:
+                    await self._send(writer, {
+                        "op": "error", "id": None,
+                        "code": "request_too_large",
+                        "limit": MAX_REQUEST_BYTES,
+                        "error": "request too large: a request line "
+                                 f"may hold at most {MAX_REQUEST_BYTES}"
+                                 " bytes; split the batch"})
+                    continue
                 if not line:
                     break
                 stop = await self._handle_line(line, writer)
@@ -156,6 +171,28 @@ class ServiceServer:
                     ) -> None:
         writer.write(json.dumps(payload).encode() + b"\n")
         await writer.drain()
+
+
+async def _read_request(reader: asyncio.StreamReader
+                        ) -> Optional[bytes]:
+    """The next request line (``b""`` at end of stream), or None for a
+    line longer than the reader's limit — which is then consumed up to
+    and including its newline, so the next request starts clean."""
+    try:
+        return await reader.readuntil(b"\n")
+    except asyncio.IncompleteReadError as exc:
+        return exc.partial  # the last, unterminated line (or b"")
+    except asyncio.LimitOverrunError:
+        pass
+    while True:
+        try:
+            await reader.readuntil(b"\n")
+            return None
+        except asyncio.LimitOverrunError as exc:
+            # exc.consumed buffered bytes hold no newline: drop them.
+            await reader.readexactly(exc.consumed)
+        except asyncio.IncompleteReadError:
+            return None
 
 
 def run_server(service: CheckingService, host: str = "127.0.0.1",

@@ -15,6 +15,11 @@ function: ``check(traces) -> [ {platform: row} per trace ]`` where a
 row is the comparable ``(deviations, max_state_set, labels_checked,
 pruned)`` tuple.  Factories may keep warm state across the traces of
 one call — cross-trace memo reuse is deliberately under test.
+
+The executor side has the same contract in :data:`EXECUTORS`: each
+registered execution path maps ``(quirks, scripts)`` to traces, which
+must equal the cold path's (every script from an empty file system)
+trace for trace.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from typing import Callable, Dict, List, Sequence, Tuple
 from repro.checker.checker import TraceChecker
 from repro.engine import ArenaReader, MemoArena
 from repro.executor import execute_script
+from repro.executor.executor import ExecutionTrie
 from repro.fsimpl import config_by_name
 from repro.oracle import VectoredOracle
 from repro.testgen.generator import gen_handwritten_tests
@@ -191,6 +197,39 @@ register_engine("vectored", _make_vectored)
 register_engine("sharded", _make_sharded)
 register_engine("compiled", _make_compiled)
 register_engine("service", _make_service)
+
+
+ExecFn = Callable[[object, Sequence], List]
+
+EXECUTORS: Dict[str, ExecFn] = {}
+
+
+def register_executor(name: str, execute: ExecFn) -> None:
+    """Register an execution path for trace parity with ``cold``."""
+    if name in EXECUTORS:
+        raise ValueError(f"executor {name!r} already registered")
+    EXECUTORS[name] = execute
+
+
+def _execute_cold(quirks, scripts):
+    """The baseline: a trie that stores nothing, so every script runs
+    in full from an empty file system."""
+    return [execute_script(quirks, script, trie=ExecutionTrie(max_nodes=0))
+            for script in scripts]
+
+
+def _execute_warm(quirks, scripts):
+    """The prefix-trie path: one trie shared by the call's scripts,
+    so each resumes after the longest prefix an earlier one ran."""
+    trie = ExecutionTrie()
+    return [execute_script(quirks, script, trie=trie)
+            for script in scripts]
+
+
+register_executor("cold", _execute_cold)
+register_executor("warm", _execute_warm)
+register_executor("process", lambda quirks, scripts: [
+    execute_script(quirks, script) for script in scripts])
 
 
 @functools.lru_cache(maxsize=None)

@@ -16,12 +16,13 @@ import dataclasses
 
 import pytest
 
-from helpers_parity import (ENGINES, PARITY_CONFIGS, baseline_rows,
-                            handwritten_traces)
+from helpers_parity import (ENGINES, EXECUTORS, PARITY_CONFIGS,
+                            baseline_rows, handwritten_traces)
 from repro.api import SerialBackend, Session, ShardedBackend
 from repro.core.platform import SPECS
 from repro.executor import execute_script
 from repro.fsimpl import config_by_name
+from repro.testgen.generator import gen_handwritten_tests
 from repro.testgen.randomized import random_suite
 
 ALL_PLATFORMS = tuple(SPECS)
@@ -75,6 +76,27 @@ def test_randomized_property_sweep(engine):
         want = ENGINES["uninterned"](ALL_PLATFORMS)(traces)
         for trace, got_rows, want_rows in zip(traces, got, want):
             assert got_rows == want_rows, (engine, config, trace.name)
+
+
+@pytest.mark.parametrize("config", PARITY_CONFIGS)
+@pytest.mark.parametrize("executor", sorted(EXECUTORS))
+def test_executor_trace_parity(executor, config):
+    """Every execution path yields the cold path's traces: the
+    handwritten suite, scaffold-sharing generated scripts and seeded
+    random scripts with prefix-sharing truncations."""
+    from repro.gen import default_plan
+    from repro.script.ast import Script
+
+    randoms = random_suite(6, base_seed=2027, length=20)
+    scripts = (gen_handwritten_tests()
+               + list(default_plan().sample(20, seed=4).scripts())
+               + randoms
+               + [Script(s.name + "_cut", s.items[:9]) for s in randoms])
+    quirks = config_by_name(config)
+    got = EXECUTORS[executor](quirks, scripts)
+    want = EXECUTORS["cold"](quirks, scripts)
+    for script, got_trace, want_trace in zip(scripts, got, want):
+        assert got_trace == want_trace, (executor, config, script.name)
 
 
 def _strip_volatile(artifact):

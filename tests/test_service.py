@@ -25,7 +25,8 @@ from repro.executor import execute_script
 from repro.fsimpl import config_by_name
 from repro.oracle import ConformanceProfile
 from repro.script import parse_script, print_trace
-from repro.service import (ArenaEpochs, CheckingService, CheckResult,
+from repro.service import (MAX_REQUEST_BYTES, ArenaEpochs,
+                           CheckingService, CheckResult, RequestTooLarge,
                            ServiceClient, ShardPool, run_server)
 
 CONFIG = "linux_sshfs_tmpfs"
@@ -286,6 +287,59 @@ class TestServerProtocol:
                 assert got == want
                 assert done["engine_stats"]["epochs_published"] == 1
                 assert done["engine_stats"]["resolved_in_parent"] == 3
+
+
+    def test_oversized_request_gets_typed_error_and_connection_lives(
+            self):
+        """A request line over the limit is answered with a typed
+        ``request_too_large`` error, read to its end and dropped; the
+        same connection then serves the next request."""
+        trace = _traces(1)[0]
+        text = print_trace(trace)
+        huge = text + "# " + "x" * MAX_REQUEST_BYTES + "\n"
+        with _Server(CheckingService("all", shards=0)) as server:
+            with ServiceClient(server.address) as client:
+                client._sock.sendall(json.dumps(
+                    {"op": "check", "id": 1, "trace": huge}).encode()
+                    + b"\n")
+                line = client._reader.readline()
+                reply = json.loads(line)
+                assert reply["op"] == "error"
+                assert reply["code"] == "request_too_large"
+                assert reply["limit"] == MAX_REQUEST_BYTES
+                with pytest.raises(RequestTooLarge):
+                    client.check(huge)
+                verdict = client.check(text, request_id=2)
+                assert verdict["id"] == 2
+                assert verdict["accepted"] == \
+                    _serial_rows([trace])[0][0].accepted
+
+    def test_large_batch_is_split_under_the_request_limit(self):
+        """150 traces padded to ~8 kB each (a request of about 1.2 MB,
+        beyond the limit) come back complete and in order."""
+        traces = _traces(150)
+        want = _serial_rows(traces)
+        pad = "# " + "p" * 8000 + "\n"
+        texts = [print_trace(t) + pad for t in traces]
+        assert sum(len(t) for t in texts) > MAX_REQUEST_BYTES
+        with _Server(CheckingService("all", shards=0)) as server:
+            with ServiceClient(server.address) as client:
+                verdicts, done = client.check_batch(texts,
+                                                    request_id="big")
+                assert done["op"] == "batch_done"
+                assert done["count"] == len(traces)
+                assert [v["name"] for v in verdicts] == \
+                    [t.name for t in traces]
+                assert all(v["id"] == "big" for v in verdicts)
+                got = [tuple(ConformanceProfile.from_dict(row)
+                             for row in v["profiles"])
+                       for v in verdicts]
+                assert got == want
+                streamed = list(client.iter_batch(texts))
+                assert len(streamed) == len(texts) + 1
+                assert streamed[-1]["count"] == len(texts)
+                _verdicts, done = client.check_batch([])
+                assert done["count"] == 0
 
 
 class TestCliServer:

@@ -139,3 +139,32 @@ class TestSuite:
         with pytest.warns(DeprecationWarning):
             legacy = generate_suite(scale=2)
         assert legacy == list(default_plan(scale=2).scripts())
+
+
+class TestScaffoldParsedOnce:
+    def test_default_plan_equals_text_parse_path(self, monkeypatch):
+        """Every default-plan script, scaffolded or not, equals the one
+        built by rendering the scaffold and tail to text and parsing the
+        whole script — the generator's former path."""
+        from repro.script import parse_script
+        from repro.testgen import generator
+        from repro.testgen.situations import SCAFFOLD
+
+        built = list(default_plan().scripts())
+
+        def text_parse_script(name, lines, scaffold=True):
+            body = list(SCAFFOLD) if scaffold else []
+            body.extend(lines)
+            return parse_script("\n".join(
+                ["@type script", f"# Test {name}"] + body) + "\n")
+
+        monkeypatch.setattr(generator, "_script", text_parse_script)
+        reference = list(default_plan().scripts())
+        assert len(built) == len(reference) == 5141
+        assert built == reference
+        # Scaffolded scripts share the scaffold's item objects.
+        scaffold = generator._SCAFFOLD_ITEMS
+        shared = [s for s in built if s.items[:len(scaffold)] == scaffold]
+        assert len(shared) == 5045
+        assert all(a is b for s in shared
+                   for a, b in zip(s.items, scaffold))
